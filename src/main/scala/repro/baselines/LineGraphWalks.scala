@@ -2,8 +2,6 @@ package repro.baselines
 
 import java.util.SplittableRandom
 
-import scala.collection.mutable
-
 import repro.core.{Estimators, Walks}
 import repro.graph.{CsrGraph, LineGraph}
 
@@ -15,7 +13,8 @@ import repro.graph.{CsrGraph, LineGraph}
   * (u, v). Five chains/estimators:
   *
   *  - EX-RW    simple walk on G'; re-weighted by 1/d'(e).
-  *  - EX-MHRW  Metropolis-Hastings to a uniform stationary; plain average.
+  *  - EX-MHRW  Metropolis-Hastings to a uniform stationary: EX-RCMH with
+  *             α = 1; plain average (every weight is 1).
   *  - EX-MDRW  maximum-degree chain (self-loops up to D' = max d');
   *             uniform stationary; plain average over all steps.
   *  - EX-RCMH  rejection-controlled MH with exponent α ∈ [0, 0.3]:
@@ -51,89 +50,69 @@ object LineGraphWalks {
   /** A start G-edge drawn by one SRW node draw plus a uniform incident edge
     * (any start works — the chain burn-in dominates).
     */
-  private def startEdge(g: CsrGraph, rng: SplittableRandom): (Int, Int) = {
+  private def startEdge(g: CsrGraph, rng: SplittableRandom): Long = {
     val u = Walks.uniformStart(g, rng)
-    (u, g.neighbor(u, rng.nextInt(g.degree(u))))
+    LineGraph.edge(u, g.neighbor(u, rng.nextInt(g.degree(u))))
   }
 
-  /** Run one simulation of `variant`; returns (algorithm, k, estimate) at
-    * each checkpoint. `checkpoints` ascending and non-empty.
+  /** Run one simulation of `variant`; returns its estimate at each
+    * checkpoint (a one-row [estimator][checkpoint] array).
     */
   def run(g: CsrGraph, variant: Variant, t1: Int, t2: Int, checkpoints: Seq[Int],
-          burnInSteps: Int, rng: SplittableRandom): Seq[(String, Int, Double)] = {
-    require(checkpoints.nonEmpty && checkpoints == checkpoints.sorted,
-      s"checkpoints must be ascending: $checkpoints")
+          burnInSteps: Int, rng: SplittableRandom): Array[Double] = {
+    val cps = Walks.checkpointArray(checkpoints)
+    val nC = cps.length
     val nE = g.numEdges
-    val maxK = checkpoints.last
     val dMax = g.maxLineDegree.toDouble
-    val cap = variant match { // self-loop cap for MD-family chains
-      case ExGmd(delta) => math.max(1.0, delta * dMax)
-      case _            => dMax
+
+    // Move rules from a state e of G'-degree d > 0. MH proposes a uniform
+    // G'-neighbor f and accepts it w.p. min(1, (d/d'(f))^alpha); MD moves
+    // w.p. d/max(d, cap) and self-loops otherwise.
+    def mh(alpha: Double): (Long, Int) => Long = (e, d) => {
+      val f = LineGraph.uniformLineNeighbor(g, e, rng)
+      if (rng.nextDouble() < math.pow(d.toDouble / LineGraph.lineDegree(g, f), alpha)) f else e
+    }
+    def md(cap: Double): (Long, Int) => Long = (e, d) =>
+      if (rng.nextDouble() < d / math.max(d.toDouble, cap)) LineGraph.uniformLineNeighbor(g, e, rng)
+      else e
+    // The variant's move rule and the weight wᵢ of a visited state of
+    // G'-degree d, chosen once per run.
+    val (move, weight): ((Long, Int) => Long, Int => Double) = variant match {
+      case ExRw          => ((e, _) => LineGraph.uniformLineNeighbor(g, e, rng), d => 1.0 / d)
+      case ExMhrw        => (mh(1.0), _ => 1.0)
+      case ExMdrw        => (md(dMax), _ => 1.0)
+      case ExRcmh(alpha) => (mh(alpha), d => math.pow(d.toDouble, alpha - 1.0))
+      case ExGmd(delta)  =>
+        val cap = math.max(1.0, delta * dMax)
+        (md(cap), d => 1.0 / math.max(d.toDouble, cap))
     }
 
-    var (eu, ev) = startEdge(g, rng)
-
-    // One chain transition; returns the new state (possibly unchanged).
-    def transition(u: Int, v: Int): (Int, Int) = {
-      val dCur = LineGraph.lineDegree(g, u, v)
-      if (dCur == 0) return (u, v) // isolated G'-node: can only self-loop
-      variant match {
-        case ExRw =>
-          LineGraph.uniformLineNeighbor(g, u, v, rng)
-        case ExMhrw =>
-          val (a, b) = LineGraph.uniformLineNeighbor(g, u, v, rng)
-          val dProp = LineGraph.lineDegree(g, a, b)
-          if (rng.nextDouble() < dCur.toDouble / dProp) (a, b) else (u, v)
-        case ExRcmh(alpha) =>
-          val (a, b) = LineGraph.uniformLineNeighbor(g, u, v, rng)
-          val dProp = LineGraph.lineDegree(g, a, b)
-          if (rng.nextDouble() < math.pow(dCur.toDouble / dProp, alpha)) (a, b) else (u, v)
-        case ExMdrw =>
-          if (rng.nextDouble() < dCur / cap) LineGraph.uniformLineNeighbor(g, u, v, rng)
-          else (u, v)
-        case ExGmd(_) =>
-          val m = math.max(dCur.toDouble, cap)
-          if (rng.nextDouble() < dCur / m) LineGraph.uniformLineNeighbor(g, u, v, rng)
-          else (u, v)
-      }
+    // One chain transition; an isolated G'-node can only self-loop.
+    def transition(e: Long): Long = {
+      val d = LineGraph.lineDegree(g, e)
+      if (d > 0) move(e, d) else e
     }
 
+    var e = startEdge(g, rng)
     var i = 0
-    while (i < burnInSteps) { val n = transition(eu, ev); eu = n._1; ev = n._2; i += 1 }
+    while (i < burnInSteps) { e = transition(e); i += 1 }
 
-    val out = mutable.ArrayBuffer.empty[(String, Int, Double)]
-    var hits = 0L          // Σ I(eᵢ) for uniform-stationary chains
-    var weightSum = 0.0    // Σ wᵢ for re-weighted chains
+    val out = new Array[Double](nC)
+    var weightSum = 0.0    // Σ wᵢ
     var weightedHits = 0.0 // Σ I(eᵢ)·wᵢ
     var next = 0
     var step = 1
-    while (step <= maxK) {
-      val n = transition(eu, ev); eu = n._1; ev = n._2
-      val isTarget = g.isTargetEdge(eu, ev, t1, t2)
-      variant match {
-        case ExRw =>
-          val w = 1.0 / LineGraph.lineDegree(g, eu, ev)
-          weightSum += w; if (isTarget) weightedHits += w
-        case ExRcmh(alpha) =>
-          val w = math.pow(LineGraph.lineDegree(g, eu, ev).toDouble, alpha - 1.0)
-          weightSum += w; if (isTarget) weightedHits += w
-        case ExGmd(_) =>
-          val w = 1.0 / math.max(LineGraph.lineDegree(g, eu, ev).toDouble, cap)
-          weightSum += w; if (isTarget) weightedHits += w
-        case _ =>
-          if (isTarget) hits += 1
-      }
-      while (next < checkpoints.length && checkpoints(next) == step) {
-        val k = checkpoints(next)
-        val est = variant match {
-          case ExMhrw | ExMdrw      => Estimators.uniformCount(nE, hits, k)
-          case _                    => Estimators.reweightedCount(nE, weightedHits, weightSum)
-        }
-        out += ((variant.name, k, est))
+    while (next < nC) {
+      e = transition(e)
+      val w = weight(LineGraph.lineDegree(g, e))
+      weightSum += w
+      if (g.isTargetEdge(LineGraph.src(e), LineGraph.dst(e), t1, t2)) weightedHits += w
+      while (next < nC && cps(next) <= step) {
+        out(next) = Estimators.reweightedCount(nE, weightedHits, weightSum)
         next += 1
       }
       step += 1
     }
-    out.toSeq
+    out
   }
 }

@@ -51,14 +51,9 @@ object Estimators {
 
   /** Generic re-weighted count estimator for the EX-* baselines on the line
     * graph: F̂ = |H| · (Σ I(eᵢ)·wᵢ) / (Σ wᵢ) with |H| = |E(G)| and wᵢ the
-    * inverse stationary weight of the i-th visited G'-node.
+    * inverse stationary weight of the i-th visited G'-node. With every
+    * wᵢ = 1 (EX-MHRW, EX-MDRW) it is the plain average |H| · (Σ I(eᵢ)) / k.
     */
   def reweightedCount(population: Long, weightedHits: Double, weightSum: Double): Double =
     if (weightSum == 0.0) 0.0 else population * weightedHits / weightSum
-
-  /** Uniform-stationary count estimator (EX-MHRW / EX-MDRW):
-    * F̂ = |H| · (Σ I(eᵢ)) / k.
-    */
-  def uniformCount(population: Long, hits: Long, k: Int): Double =
-    population.toDouble * hits / k
 }

@@ -34,18 +34,19 @@ object NeighborExploration {
   val HT = "NeighborExploration-HT"
   val RW = "NeighborExploration-RW"
 
-  /** Run one simulation; returns (algorithm, apiBudget, estimate) per
-    * estimator per checkpoint. `checkpoints` (API-call budgets) must be
-    * ascending and non-empty.
+  /** Estimator names, in the row order of [[run]]'s result. */
+  val Names: Seq[String] = Seq(HH, HT, RW)
+
+  /** Run one simulation; returns the estimates indexed [estimator][checkpoint]
+    * like [[NeighborSample.run]], with `checkpoints` as API-call budgets.
     */
   def run(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int], burnInSteps: Int,
-          rng: SplittableRandom): Seq[(String, Int, Double)] = {
-    require(checkpoints.nonEmpty && checkpoints == checkpoints.sorted,
-      s"checkpoints must be ascending: $checkpoints")
+          rng: SplittableRandom): Array[Double] = {
+    val cps = Walks.checkpointArray(checkpoints)
+    val nC = cps.length
     val nE = g.numEdges
     val nV = g.numNodes
-    val maxBudget = checkpoints.last
-    val out = mutable.ArrayBuffer.empty[(String, Int, Double)]
+    val out = new Array[Double](Names.size * nC)
 
     var u = Walks.burnIn(g, Walks.uniformStart(g, rng), burnInSteps, rng)
     var apiCalls = 0L
@@ -55,7 +56,7 @@ object NeighborExploration {
     // distinct sampled nodes with positive T: node -> (T(u), d(u))
     val distinct = mutable.HashMap.empty[Int, (Int, Int)]
     var next = 0
-    while (apiCalls < maxBudget) {
+    while (next < nC) {
       u = Walks.step(g, u, rng)
       apiCalls += 1 // the walk step: one friend-list fetch
       samples += 1
@@ -70,14 +71,13 @@ object NeighborExploration {
           distinct.update(u, (t, d))
         }
       }
-      while (next < checkpoints.length && checkpoints(next) <= apiCalls) {
-        val b = checkpoints(next)
-        out += ((HH, b, Estimators.neHansenHurwitz(nE, sumTOverD, samples)))
-        out += ((HT, b, Estimators.neHorvitzThompson(nE, distinct.values, samples)))
-        out += ((RW, b, Estimators.neReweighted(nV, sumTOverD, sumInvD)))
+      while (next < nC && cps(next) <= apiCalls) {
+        out(next) = Estimators.neHansenHurwitz(nE, sumTOverD, samples)
+        out(nC + next) = Estimators.neHorvitzThompson(nE, distinct.values, samples)
+        out(2 * nC + next) = Estimators.neReweighted(nV, sumTOverD, sumInvD)
         next += 1
       }
     }
-    out.toSeq
+    out
   }
 }

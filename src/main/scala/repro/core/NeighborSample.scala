@@ -22,37 +22,39 @@ object NeighborSample {
   val HH = "NeighborSample-HH"
   val HT = "NeighborSample-HT"
 
-  /** Run one simulation; returns (algorithm, k, estimate) for each estimator
-    * at each checkpoint. `checkpoints` must be ascending and non-empty.
+  /** Estimator names, in the row order of [[run]]'s result. */
+  val Names: Seq[String] = Seq(HH, HT)
+
+  /** Run one simulation; returns the estimates indexed [estimator][checkpoint]:
+    * estimator `e` of [[Names]] at checkpoint `c` is at `e * checkpoints.size + c`.
     */
   def run(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int], burnInSteps: Int,
-          rng: SplittableRandom): Seq[(String, Int, Double)] = {
-    require(checkpoints.nonEmpty && checkpoints == checkpoints.sorted,
-      s"checkpoints must be ascending: $checkpoints")
+          rng: SplittableRandom): Array[Double] = {
+    val cps = Walks.checkpointArray(checkpoints)
+    val nC = cps.length
     val nE = g.numEdges
-    val maxK = checkpoints.last
-    val out = mutable.ArrayBuffer.empty[(String, Int, Double)]
+    val out = new Array[Double](Names.size * nC)
 
     var u = Walks.burnIn(g, Walks.uniformStart(g, rng), burnInSteps, rng)
     var targetHits = 0L
     val distinctTargets = mutable.HashSet.empty[Long]
     var next = 0 // index of next checkpoint to emit
     var i = 1
-    while (i <= maxK) {
+    while (next < nC) {
       val v = Walks.step(g, u, rng)
       if (g.isTargetEdge(u, v, t1, t2)) {
         targetHits += 1
         distinctTargets += CsrGraph.edgeKey(u, v)
       }
       u = v
-      while (next < checkpoints.length && checkpoints(next) == i) {
-        val k = checkpoints(next)
-        out += ((HH, k, Estimators.nsHansenHurwitz(nE, targetHits, k)))
-        out += ((HT, k, Estimators.nsHorvitzThompson(nE, distinctTargets.size, k)))
+      while (next < nC && cps(next) <= i) {
+        val k = cps(next)
+        out(next) = Estimators.nsHansenHurwitz(nE, targetHits, k)
+        out(nC + next) = Estimators.nsHorvitzThompson(nE, distinctTargets.size, k)
         next += 1
       }
       i += 1
     }
-    out.toSeq
+    out
   }
 }

@@ -2,8 +2,7 @@ package repro.core
 
 import java.util.SplittableRandom
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 
 import repro.baselines.LineGraphWalks
 import repro.graph.CsrGraph
@@ -12,8 +11,10 @@ import repro.graph.CsrGraph
   *
   * The walk itself is sequential; the parallel dimension is the paper's 200
   * independent simulations per table cell. The CSR graph is broadcast once
-  * and an RDD of simulation indices fans the walks out across cores; NRMSE
-  * aggregation over (algorithm, budget) is a Catalyst groupBy.
+  * and an RDD of simulation indices fans the walks out across cores. Each
+  * simulation yields one [estimator][checkpoint] array; its squared errors
+  * are summed element-wise, so the array position is the (algorithm,
+  * budget) key and no shuffle is needed.
   */
 object Nrmse {
 
@@ -25,66 +26,71 @@ object Nrmse {
     LineGraphWalks.RCMH, LineGraphWalks.GMD,
   )
 
-  /** One full simulation: every algorithm, independent RNG streams derived
-    * from `seed`, one estimate per (algorithm, checkpoint).
+  /** Row names of [[estimates]], in RNG-split order (not the display order
+    * of [[AllAlgorithms]]).
     */
-  def simulate(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int],
-               burnInSteps: Int, seed: Long,
-               variants: Seq[LineGraphWalks.Variant] = LineGraphWalks.defaultVariants,
-               includeBaselines: Boolean = true): Seq[(String, Int, Double)] = {
+  private val Names: Seq[String] =
+    NeighborSample.Names ++ NeighborExploration.Names ++ LineGraphWalks.defaultVariants.map(_.name)
+
+  /** One full simulation: every algorithm on its own RNG stream split from
+    * `seed`, as one [estimator][checkpoint] array with rows in [[Names]]
+    * order.
+    */
+  private def estimates(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int],
+                        burnInSteps: Int, seed: Long): Array[Double] = {
     val root = new SplittableRandom(seed)
-    // split() gives statistically independent streams per algorithm family
+    // split() gives statistically independent streams per algorithm family;
+    // the split order fixes every stream, so it must not change
     val ns = NeighborSample.run(g, t1, t2, checkpoints, burnInSteps, root.split())
     val ne = NeighborExploration.run(g, t1, t2, checkpoints, burnInSteps, root.split())
-    val ex =
-      if (includeBaselines)
-        variants.flatMap(v => LineGraphWalks.run(g, v, t1, t2, checkpoints, burnInSteps, root.split()))
-      else Nil
-    ns ++ ne ++ ex
+    val ex = LineGraphWalks.defaultVariants.map(v =>
+      LineGraphWalks.run(g, v, t1, t2, checkpoints, burnInSteps, root.split()))
+    Array.concat(ns +: ne +: ex: _*)
   }
 
-  /** Raw estimates over `sims` independent simulations as a DataFrame
-    * (algorithm, k, sim, estimate). Walks run inside mapPartitions over a
-    * broadcast graph.
+  /** Element-wise a += b; returns a. */
+  private def addInto(a: Array[Double], b: Array[Double]): Array[Double] = {
+    var i = 0
+    while (i < a.length) { a(i) += b(i); i += 1 }
+    a
+  }
+
+  /** One full simulation as (algorithm, k, estimate) per algorithm and
+    * checkpoint.
     */
-  def estimates(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
-                checkpoints: Seq[Int], burnInSteps: Int, sims: Int,
-                seedBase: Long, includeBaselines: Boolean = true): DataFrame = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g)
-    val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
-    spark.sparkContext
-      .parallelize(0 until sims, slices)
-      .flatMap { sim =>
-        simulate(bc.value, t1, t2, checkpoints, burnInSteps,
-                 seedBase + sim, includeBaselines = includeBaselines)
-          .map { case (alg, k, est) => (alg, k, sim, est) }
-      }
-      .toDF("algorithm", "k", "sim", "estimate")
+  def simulate(g: CsrGraph, t1: Int, t2: Int, checkpoints: Seq[Int],
+               burnInSteps: Int, seed: Long): Seq[(String, Int, Double)] = {
+    val est = estimates(g, t1, t2, checkpoints, burnInSteps, seed)
+    for ((name, e) <- Names.zipWithIndex; (k, c) <- checkpoints.zipWithIndex)
+      yield (name, k, est(e * checkpoints.size + c))
   }
 
-  /** NRMSE(F̂) = sqrt(E[(F̂−F)²])/F per (algorithm, k) — paper Eq. 24. */
-  def nrmse(estimatesDf: DataFrame, f: Long): DataFrame = {
-    estimatesDf
-      .groupBy("algorithm", "k")
-      .agg((sqrt(avg(pow(col("estimate") - f, 2))) / f) as "nrmse")
-  }
-
-  /** End-to-end: (algorithm, k, nrmse), collected as a nested map
-    * algorithm -> k -> NRMSE for table printing.
+  /** NRMSE(F̂) = sqrt(E[(F̂−F)²])/F (paper Eq. 24) over `sims` simulations
+    * with seeds `seedBase + sim`, as algorithm -> k -> NRMSE.
     */
   def run(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
-          seedBase: Long = 42L,
-          includeBaselines: Boolean = true): Map[String, Map[Int, Double]] = {
-    val df = nrmse(
-      estimates(spark, g, t1, t2, checkpoints, burnInSteps, sims, seedBase,
-                includeBaselines), f)
-    df.collect()
-      .groupBy(_.getString(0))
-      .map { case (alg, rows) =>
-        alg -> rows.map(r => r.getInt(1) -> r.getDouble(2)).toMap
+          seedBase: Long = 42L): Map[String, Map[Int, Double]] = {
+    val bc = spark.sparkContext.broadcast(g)
+    val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
+    // Per-partition partials are collected and added in partition order,
+    // not in task completion order as RDD.reduce would, so the sums repeat
+    // bit for bit from run to run.
+    val sumSq = spark.sparkContext
+      .parallelize(0 until sims, slices)
+      .map { sim =>
+        estimates(bc.value, t1, t2, checkpoints, burnInSteps, seedBase + sim)
+          .map(e => (e - f) * (e - f))
       }
+      .mapPartitions(it => Iterator(it.reduce(addInto)))
+      .collect()
+      .reduce(addInto)
+    val nC = checkpoints.size
+    Names.zipWithIndex.map { case (name, e) =>
+      name -> checkpoints.zipWithIndex.map { case (k, c) =>
+        k -> math.sqrt(sumSq(e * nC + c) / sims) / f
+      }.toMap
+    }.toMap
   }
 
   /** The paper's budget grid: k = {0.5%, 1.0%, …, 5.0%}·|V| (ceil, ≥1). */

@@ -17,6 +17,15 @@ object Walks {
   def step(g: CsrGraph, u: Int, rng: SplittableRandom): Int =
     g.neighbor(u, rng.nextInt(g.degree(u)))
 
+  /** `checkpoints` as an array, checked to be non-empty, ascending and ≥ 1:
+    * a sampler emits at each checkpoint once its budget reaches it.
+    */
+  def checkpointArray(checkpoints: Seq[Int]): Array[Int] = {
+    require(checkpoints.nonEmpty && checkpoints.head >= 1 && checkpoints == checkpoints.sorted,
+      s"checkpoints must be non-empty, ascending and >= 1: $checkpoints")
+    checkpoints.toArray
+  }
+
   /** A uniform random start node. */
   def uniformStart(g: CsrGraph, rng: SplittableRandom): Int =
     rng.nextInt(g.numNodes)

@@ -2,10 +2,6 @@ package repro.graph
 
 import java.util.SplittableRandom
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
-
 /** Line-graph substrate for the EX-* baselines.
   *
   * The baselines of Li et al. walk on G' = (H, R), where H = E(G) and two
@@ -15,39 +11,44 @@ import org.apache.spark.sql.types._
   * the CSR adjacency of G (pick an endpoint ∝ its remaining slots, then a
   * uniform *other* edge at that endpoint via rejection — exact because the
   * graph has no multi-edges).
+  *
+  * A walk state is an oriented G-edge (u,v) packed into one Long by [[edge]]
+  * (u in the high, v in the low 32 bits), so a transition allocates nothing.
   */
 object LineGraph {
 
-  /** d'(src,dst) = d(src)+d(dst)-2 for every edge, as a DataFrame
-    * (src, dst, lineDegree) — the bulk counterpart of the local formula,
-    * used for tests and stats.
-    */
-  def lineDegrees(edges: DataFrame, degrees: DataFrame): DataFrame = {
-    edges
-      .join(degrees.withColumnRenamed("node", "src").withColumnRenamed("degree", "ds"), Seq("src"))
-      .join(degrees.withColumnRenamed("node", "dst").withColumnRenamed("degree", "dd"), Seq("dst"))
-      .select(col("src"), col("dst"),
-              (col("ds") + col("dd") - 2).cast(LongType) as "lineDegree")
-  }
+  /** The oriented G-edge (u,v) as a packed walk state. */
+  def edge(u: Int, v: Int): Long = (u.toLong << 32) | (v & 0xffffffffL)
+
+  /** First endpoint of a packed edge. */
+  def src(e: Long): Int = (e >>> 32).toInt
+
+  /** Second endpoint of a packed edge. */
+  def dst(e: Long): Int = e.toInt
 
   /** The degree of edge (u,v) in G'. */
   def lineDegree(g: CsrGraph, u: Int, v: Int): Int = g.degree(u) + g.degree(v) - 2
 
-  /** A uniform random G'-neighbor of the G'-node (u,v): an edge sharing
-    * exactly one endpoint with (u,v). Requires d'(u,v) > 0.
+  /** The degree of the packed edge `e` in G'. */
+  def lineDegree(g: CsrGraph, e: Long): Int = lineDegree(g, src(e), dst(e))
+
+  /** A uniform random G'-neighbor of the packed G'-node `e`: an edge sharing
+    * exactly one endpoint with it. Requires d'(e) > 0.
     *
-    * Returned oriented as (sharedEndpoint, otherEndpoint).
+    * Returned packed and oriented as (sharedEndpoint, otherEndpoint).
     */
-  def uniformLineNeighbor(g: CsrGraph, u: Int, v: Int, rng: SplittableRandom): (Int, Int) = {
-    val du = g.degree(u); val dv = g.degree(v)
-    val total = du + dv - 2
+  def uniformLineNeighbor(g: CsrGraph, e: Long, rng: SplittableRandom): Long = {
+    val u = src(e); val v = dst(e)
+    val du = g.degree(u)
+    val total = du + g.degree(v) - 2
     require(total > 0, s"edge ($u,$v) is isolated in the line graph")
     // Choose the shared endpoint with probability proportional to its count
     // of other incident edges, then a uniform other edge at that endpoint.
-    val r = rng.nextInt(total)
-    val (anchor, excluded) = if (r < du - 1) (u, v) else (v, u)
+    val atU = rng.nextInt(total) < du - 1
+    val anchor = if (atU) u else v
+    val excluded = if (atU) v else u
     var w = excluded
     while (w == excluded) w = g.neighbor(anchor, rng.nextInt(g.degree(anchor)))
-    (anchor, w)
+    edge(anchor, w)
   }
 }

@@ -67,10 +67,10 @@ object SocialGraphGen {
     */
   def zipfLabels(spark: SparkSession, n: Long, nLabels: Int, s: Double = 1.5,
                  seed: Long = 13): DataFrame = {
-    // Discrete inverse CDF over nLabels ranks, precomputed on the driver and
-    // applied as a chained expression via a little binary search in SQL:
-    // for tractability we use the continuous approximation (same as the
-    // endpoint draw) which preserves the skew shape.
+    // Continuous inverse CDF, as in the endpoint draw: for uniform U,
+    // X = (U·((nLabels+1)^(1-s) - 1) + 1)^(1/(1-s)) has density ∝ x^(-s) on
+    // [1, nLabels+1], so truncating X to an integer gives P(label=l) ≈ ∝ l^(-s)
+    // (s ≠ 1). The clamp only guards the rounding at the range ends.
     val a    = s
     val hi   = math.pow(nLabels + 1.0, 1.0 - a)
     val lo   = 1.0

@@ -8,9 +8,11 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). Broadcast joins are disabled as in the `RunTables` session:
+  * there the edge/label/degree joins of LCC, ground truth and bounds run
+  * as shuffle joins, and under Spark's default 10 MB threshold
+  * the small test fixtures would be planned as broadcast joins instead, so
+  * the tests would check a different physical plan than the tables use.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

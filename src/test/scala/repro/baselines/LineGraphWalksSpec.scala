@@ -3,8 +3,8 @@ package repro.baselines
 import java.util.SplittableRandom
 
 import repro.{SparkSpec, TestGraphs}
-import repro.core.NeighborSample
-import repro.graph.CsrGraph
+import repro.core.{NeighborSample, Nrmse}
+import repro.graph.{CsrGraph, LineGraph}
 
 class LineGraphWalksSpec extends SparkSpec {
   import LineGraphWalks._
@@ -21,16 +21,22 @@ class LineGraphWalksSpec extends SparkSpec {
   }
 
   test("one row per checkpoint, correctly named") {
+    // Nrmse.simulate labels each variant's run on its RNG split (after the
+    // NS and NE streams) with the variant's name
+    val sim = Nrmse.simulate(g, 1, 2, Seq(5, 10), 50, seed = 1)
+    val root = new SplittableRandom(1)
+    root.split(); root.split()
     for (v <- defaultVariants) {
-      val out = LineGraphWalks.run(g, v, 1, 2, Seq(5, 10), 50, new SplittableRandom(1))
-      assert(out.map(_._1).distinct == Seq(v.name))
-      assert(out.map(_._2) == Seq(5, 10))
+      val out = LineGraphWalks.run(g, v, 1, 2, Seq(5, 10), 50, root.split())
+      assert(out.length == 2)
+      assert(sim.filter(_._1 == v.name).map(r => (r._2, r._3)) == Seq(5, 10).zip(out), v.name)
     }
   }
 
   test("checkpoints must be ascending") {
-    intercept[IllegalArgumentException](
-      LineGraphWalks.run(g, ExRw, 1, 2, Seq(9, 3), 10, new SplittableRandom(1)))
+    for (cps <- Seq(Seq(9, 3), Seq(0, 3), Seq(-2, 3), Seq.empty[Int]))
+      intercept[IllegalArgumentException](
+        LineGraphWalks.run(g, ExRw, 1, 2, cps, 10, new SplittableRandom(1)))
   }
 
   test("deterministic in the seed, sensitive to the seed") {
@@ -38,15 +44,15 @@ class LineGraphWalksSpec extends SparkSpec {
       val a = LineGraphWalks.run(g, v, 1, 2, Seq(20), 50, new SplittableRandom(3))
       val b = LineGraphWalks.run(g, v, 1, 2, Seq(20), 50, new SplittableRandom(3))
       val c = LineGraphWalks.run(g, v, 1, 2, Seq(20), 50, new SplittableRandom(4))
-      assert(a == b, v.name)
-      assert(a != c || a.head._3 == c.head._3, v.name) // different walks may tie numerically
+      assert(a sameElements b, v.name)
+      assert(!(a sameElements c) || a.head == c.head, v.name) // different walks may tie numerically
     }
   }
 
   test("estimates are zero when the target labels are absent") {
     for (v <- defaultVariants) {
       val out = LineGraphWalks.run(g, v, 8, 9, Seq(10, 20), 50, new SplittableRandom(7))
-      assert(out.forall(_._3 == 0.0), v.name)
+      assert(out.forall(_ == 0.0), v.name)
     }
   }
 
@@ -55,17 +61,18 @@ class LineGraphWalksSpec extends SparkSpec {
     val rng = new SplittableRandom(9)
     // long MHRW chain, count visits per edge
     val counts = scala.collection.mutable.Map.empty[Long, Long].withDefaultValue(0L)
-    var state = (0, small.neighbor(0, 0))
+    var state = LineGraph.edge(0, small.neighbor(0, 0))
     def mhStep(): Unit = {
-      val (u, v) = state
-      val dCur = repro.graph.LineGraph.lineDegree(small, u, v)
-      val (a, b) = repro.graph.LineGraph.uniformLineNeighbor(small, u, v, rng)
-      val dProp = repro.graph.LineGraph.lineDegree(small, a, b)
-      if (rng.nextDouble() < dCur.toDouble / dProp) state = (a, b)
+      val dCur = LineGraph.lineDegree(small, state)
+      val proposal = LineGraph.uniformLineNeighbor(small, state, rng)
+      val dProp = LineGraph.lineDegree(small, proposal)
+      if (rng.nextDouble() < dCur.toDouble / dProp) state = proposal
     }
     (1 to 2000).foreach(_ => mhStep())
     val n = 300000
-    (1 to n).foreach { _ => mhStep(); counts(CsrGraph.edgeKey(state._1, state._2)) += 1 }
+    (1 to n).foreach { _ =>
+      mhStep(); counts(CsrGraph.edgeKey(LineGraph.src(state), LineGraph.dst(state))) += 1
+    }
     assert(counts.size.toLong == small.numEdges)
     val expected = n.toDouble / small.numEdges
     counts.values.foreach { c =>
@@ -76,7 +83,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-RW is empirically consistent: mean near F") {
     val sims = 400
     val mean = (1 to sims).map { s =>
-      LineGraphWalks.run(g, ExRw, 1, 2, Seq(80), 200, new SplittableRandom(1000 + s)).head._3
+      LineGraphWalks.run(g, ExRw, 1, 2, Seq(80), 200, new SplittableRandom(1000 + s)).head
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -84,7 +91,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-MHRW is empirically unbiased: mean near F") {
     val sims = 400
     val mean = (1 to sims).map { s =>
-      LineGraphWalks.run(g, ExMhrw, 1, 2, Seq(80), 200, new SplittableRandom(2000 + s)).head._3
+      LineGraphWalks.run(g, ExMhrw, 1, 2, Seq(80), 200, new SplittableRandom(2000 + s)).head
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -92,7 +99,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-MDRW is empirically unbiased: mean near F") {
     val sims = 400
     val mean = (1 to sims).map { s =>
-      LineGraphWalks.run(g, ExMdrw, 1, 2, Seq(80), 400, new SplittableRandom(3000 + s)).head._3
+      LineGraphWalks.run(g, ExMdrw, 1, 2, Seq(80), 400, new SplittableRandom(3000 + s)).head
     }.sum / sims
     // self-loop-heavy chain: slower mixing, looser tolerance
     assert(math.abs(mean - f) < 0.25 * f, s"mean=$mean F=$f")
@@ -101,7 +108,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-RCMH(0.3) is empirically consistent: mean near F") {
     val sims = 400
     val mean = (1 to sims).map { s =>
-      LineGraphWalks.run(g, ExRcmh(0.3), 1, 2, Seq(80), 200, new SplittableRandom(4000 + s)).head._3
+      LineGraphWalks.run(g, ExRcmh(0.3), 1, 2, Seq(80), 200, new SplittableRandom(4000 + s)).head
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -109,7 +116,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-GMD(0.5) is empirically consistent: mean near F") {
     val sims = 400
     val mean = (1 to sims).map { s =>
-      LineGraphWalks.run(g, ExGmd(0.5), 1, 2, Seq(80), 400, new SplittableRandom(5000 + s)).head._3
+      LineGraphWalks.run(g, ExGmd(0.5), 1, 2, Seq(80), 400, new SplittableRandom(5000 + s)).head
     }.sum / sims
     assert(math.abs(mean - f) < 0.25 * f, s"mean=$mean F=$f")
   }
@@ -119,7 +126,7 @@ class LineGraphWalksSpec extends SparkSpec {
     // the MDRW plain average; distributions match — compare long-run means.
     val sims = 300
     def mean(v: Variant, base: Int): Double = (1 to sims).map { s =>
-      LineGraphWalks.run(g, v, 1, 2, Seq(120), 400, new SplittableRandom(base + s)).head._3
+      LineGraphWalks.run(g, v, 1, 2, Seq(120), 400, new SplittableRandom(base + s)).head
     }.sum / sims
     val md = mean(ExMdrw, 11000)
     val gmd = mean(ExGmd(1.0), 12000)
@@ -129,7 +136,7 @@ class LineGraphWalksSpec extends SparkSpec {
   test("EX-RCMH(0) reduces to EX-RW (same stationary law)") {
     val sims = 300
     def mean(v: Variant, base: Int): Double = (1 to sims).map { s =>
-      LineGraphWalks.run(g, v, 1, 2, Seq(120), 200, new SplittableRandom(base + s)).head._3
+      LineGraphWalks.run(g, v, 1, 2, Seq(120), 200, new SplittableRandom(base + s)).head
     }.sum / sims
     val rw = mean(ExRw, 13000)
     val rc = mean(ExRcmh(0.0), 14000)
@@ -144,8 +151,8 @@ class LineGraphWalksSpec extends SparkSpec {
       math.sqrt((1 to sims).map { s => val e = runner(s); (e - f) * (e - f) }.sum / sims)
     val nsRmse = rmse(s => NeighborSample
       .run(g, 1, 2, Seq(80), 200, new SplittableRandom(20000 + s))
-      .find(_._1 == NeighborSample.HH).get._3)
-    val mdRmse = rmse(s => LineGraphWalks.run(g, ExMdrw, 1, 2, Seq(80), 200, new SplittableRandom(21000 + s)).head._3)
+      .apply(NeighborSample.Names.indexOf(NeighborSample.HH)))
+    val mdRmse = rmse(s => LineGraphWalks.run(g, ExMdrw, 1, 2, Seq(80), 200, new SplittableRandom(21000 + s)).head)
     assert(nsRmse < mdRmse, s"NS-HH rmse=$nsRmse should beat EX-MDRW rmse=$mdRmse")
   }
 }

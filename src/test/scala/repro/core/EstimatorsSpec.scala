@@ -65,16 +65,21 @@ class EstimatorsSpec extends SparkSpec {
     assert(Estimators.reweightedCount(200, 0.0, 0.0) == 0.0)
   }
 
-  test("uniformCount: population·hits/k") {
-    assert(Estimators.uniformCount(100, 25, 50) == 50.0)
+  test("reweightedCount with unit weights: population·hits/k") {
+    assert(Estimators.reweightedCount(100, 25.0, 50.0) == 50.0)
+    // sums of 1.0 are exact, so the EX-MHRW/EX-MDRW estimate is bit-identical
+    // to |H|·hits/k
+    for (hits <- 0 to 60; k <- Seq(1, 7, 60, 200) if hits <= k)
+      assert(Estimators.reweightedCount(104942, Seq.fill(hits)(1.0).sum, Seq.fill(k)(1.0).sum) ==
+             104942.0 * hits / k)
   }
 
   test("estimators are homogeneous in the population size") {
     for (scale <- samples(Gen.choose(1L, 1000L), 40, 2)) {
       assert(Estimators.nsHansenHurwitz(scale * 10, 3, 5) ==
              scale * Estimators.nsHansenHurwitz(10, 3, 5))
-      assert(Estimators.uniformCount(scale * 10, 3, 5) ==
-             scale * Estimators.uniformCount(10, 3, 5))
+      assert(Estimators.reweightedCount(scale * 10, 3.0, 5.0) ==
+             scale * Estimators.reweightedCount(10, 3.0, 5.0))
     }
   }
 

@@ -9,40 +9,45 @@ class NeighborExplorationSpec extends SparkSpec {
   private lazy val g = TestGraphs.connectedRandom(30, 60, seed = 72, nLabels = 3)
   private lazy val f = TestGraphs.bruteForceF(g, 1, 2).toDouble
 
+  /** Estimate of `alg` at checkpoint index `c` of a run over `nC` checkpoints. */
+  private def at(out: Array[Double], alg: String, c: Int = 0, nC: Int = 1): Double =
+    out(NeighborExploration.Names.indexOf(alg) * nC + c)
+
   test("emits one row per estimator per checkpoint") {
     val out = NeighborExploration.run(g, 1, 2, Seq(5, 15), 50, new SplittableRandom(1))
-    assert(out.size == 6)
-    assert(out.map(_._1).toSet ==
-      Set(NeighborExploration.HH, NeighborExploration.HT, NeighborExploration.RW))
+    assert(out.length == 6)
+    assert(NeighborExploration.Names ==
+      Seq(NeighborExploration.HH, NeighborExploration.HT, NeighborExploration.RW))
   }
 
   test("checkpoints must be ascending") {
-    intercept[IllegalArgumentException](
-      NeighborExploration.run(g, 1, 2, Seq(9, 3), 10, new SplittableRandom(1)))
+    for (cps <- Seq(Seq(9, 3), Seq(0, 3), Seq(-1, 3), Seq.empty[Int]))
+      intercept[IllegalArgumentException](
+        NeighborExploration.run(g, 1, 2, cps, 10, new SplittableRandom(1)))
   }
 
   test("deterministic in the seed") {
     val a = NeighborExploration.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(3))
     val b = NeighborExploration.run(g, 1, 2, Seq(10, 30), 50, new SplittableRandom(3))
-    assert(a == b)
+    assert(a sameElements b)
   }
 
   test("prefix consistency across checkpoint lists") {
     val full = NeighborExploration.run(g, 1, 2, Seq(10, 40), 50, new SplittableRandom(5))
     val short = NeighborExploration.run(g, 1, 2, Seq(10), 50, new SplittableRandom(5))
-    assert(full.filter(_._2 == 10).toSet == short.toSet)
+    assert(NeighborExploration.Names.forall(alg => at(full, alg, 0, 2) == at(short, alg)))
   }
 
   test("estimates are zero when the target labels are absent") {
     val out = NeighborExploration.run(g, 8, 9, Seq(10, 20), 50, new SplittableRandom(7))
-    assert(out.forall(_._3 == 0.0))
+    assert(out.forall(_ == 0.0))
   }
 
   test("HH is empirically unbiased: mean over sims close to F") {
     val sims = 600
     val mean = (1 to sims).map { s =>
-      NeighborExploration.run(g, 1, 2, Seq(40), 150, new SplittableRandom(2000 + s))
-        .find(_._1 == NeighborExploration.HH).get._3
+      val out = NeighborExploration.run(g, 1, 2, Seq(40), 150, new SplittableRandom(2000 + s))
+      at(out, NeighborExploration.HH)
     }.sum / sims
     assert(math.abs(mean - f) < 0.10 * f, s"mean=$mean F=$f")
   }
@@ -50,8 +55,8 @@ class NeighborExplorationSpec extends SparkSpec {
   test("RW is consistent: mean over sims within 15% of F") {
     val sims = 600
     val mean = (1 to sims).map { s =>
-      NeighborExploration.run(g, 1, 2, Seq(60), 150, new SplittableRandom(3000 + s))
-        .find(_._1 == NeighborExploration.RW).get._3
+      val out = NeighborExploration.run(g, 1, 2, Seq(60), 150, new SplittableRandom(3000 + s))
+      at(out, NeighborExploration.RW)
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -59,8 +64,8 @@ class NeighborExplorationSpec extends SparkSpec {
   test("HT is close to unbiased: mean over sims within 15% of F") {
     val sims = 600
     val mean = (1 to sims).map { s =>
-      NeighborExploration.run(g, 1, 2, Seq(40), 150, new SplittableRandom(4000 + s))
-        .find(_._1 == NeighborExploration.HT).get._3
+      val out = NeighborExploration.run(g, 1, 2, Seq(40), 150, new SplittableRandom(4000 + s))
+      at(out, NeighborExploration.HT)
     }.sum / sims
     assert(math.abs(mean - f) < 0.15 * f, s"mean=$mean F=$f")
   }
@@ -71,7 +76,7 @@ class NeighborExplorationSpec extends SparkSpec {
     val star = TestGraphs.star(12)
     for (seed <- 1 to 5) {
       val out = NeighborExploration.run(star, 1, 2, Seq(30), 30, new SplittableRandom(seed))
-      assert(out.find(_._1 == NeighborExploration.HH).get._3 == star.numEdges.toDouble)
+      assert(at(out, NeighborExploration.HH) == star.numEdges.toDouble)
     }
   }
 
@@ -82,7 +87,7 @@ class NeighborExplorationSpec extends SparkSpec {
     val star = TestGraphs.star(12)
     for (seed <- 1 to 5) {
       val out = NeighborExploration.run(star, 1, 2, Seq(14), 30, new SplittableRandom(seed))
-      assert(out.find(_._1 == NeighborExploration.RW).get._3 == star.numEdges.toDouble)
+      assert(at(out, NeighborExploration.RW) == star.numEdges.toDouble)
     }
   }
 
@@ -93,7 +98,7 @@ class NeighborExplorationSpec extends SparkSpec {
     // while an all-target graph crosses the budget within a couple samples.
     val star = TestGraphs.star(12)
     val rows = NeighborExploration.run(star, 1, 2, Seq(2), 30, new SplittableRandom(3))
-    assert(rows.size == 3) // a single high-cost sample still serves the checkpoint
+    assert(rows.length == 3) // a single high-cost sample still serves the checkpoint
   }
 
   test("NE beats NS on rare labels (the paper's central claim, small scale)") {
@@ -102,12 +107,12 @@ class NeighborExplorationSpec extends SparkSpec {
     assert(fr > 0, "fixture must contain at least one target edge")
     val sims = 300
     def rmse(alg: String): Double = math.sqrt((1 to sims).map { s =>
-      val rows =
+      val est =
         if (alg == NeighborSample.HH)
-          NeighborSample.run(rare, 1, 2, Seq(60), 200, new SplittableRandom(6000 + s))
+          NeighborSample.run(rare, 1, 2, Seq(60), 200, new SplittableRandom(6000 + s))(
+            NeighborSample.Names.indexOf(alg))
         else
-          NeighborExploration.run(rare, 1, 2, Seq(60), 200, new SplittableRandom(6000 + s))
-      val est = rows.find(_._1 == alg).get._3
+          at(NeighborExploration.run(rare, 1, 2, Seq(60), 200, new SplittableRandom(6000 + s)), alg)
       (est - fr) * (est - fr)
     }.sum / sims)
     val ns = rmse(NeighborSample.HH)

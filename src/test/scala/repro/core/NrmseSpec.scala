@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
-
 import repro.{SparkSpec, TestGraphs}
 
 class NrmseSpec extends SparkSpec {
@@ -22,42 +20,24 @@ class NrmseSpec extends SparkSpec {
     assert(rows.map(_._1).toSet == Nrmse.AllAlgorithms.toSet)
   }
 
-  test("simulate without baselines only runs the paper's algorithms") {
-    val rows = Nrmse.simulate(g, 1, 2, Seq(10), 50, seed = 1, includeBaselines = false)
-    assert(rows.map(_._1).toSet ==
-      Set(NeighborSample.HH, NeighborSample.HT,
-          NeighborExploration.HH, NeighborExploration.HT, NeighborExploration.RW))
-  }
-
   test("simulate is deterministic in the seed") {
     val a = Nrmse.simulate(g, 1, 2, Seq(10, 20), 50, seed = 7)
     val b = Nrmse.simulate(g, 1, 2, Seq(10, 20), 50, seed = 7)
     assert(a == b)
   }
 
-  test("estimates DataFrame has sims x algorithms x checkpoints rows") {
-    val df = Nrmse.estimates(spark, g, 1, 2, Seq(10, 20), 50, sims = 8, seedBase = 3)
-    assert(df.count() == 8L * 10 * 2)
-    assert(df.select("sim").distinct().count() == 8)
-  }
-
-  test("nrmse of a constant-F estimate table is zero") {
-    import spark.implicits._
-    val df = Seq(("A", 10, 0, f.toDouble), ("A", 10, 1, f.toDouble))
-      .toDF("algorithm", "k", "sim", "estimate")
-    val out = Nrmse.nrmse(df, f).collect()
-    assert(out.length == 1 && math.abs(out(0).getDouble(2)) < 1e-12)
-  }
-
   test("nrmse matches the hand formula sqrt(E[(F̂-F)²])/F") {
-    import spark.implicits._
-    val ests = Seq(10.0, 14.0, 6.0)
-    val df = ests.zipWithIndex.map { case (e, i) => ("A", 5, i, e) }
-      .toDF("algorithm", "k", "sim", "estimate")
-    val fRef = 8L
-    val expected = math.sqrt(ests.map(e => (e - fRef) * (e - fRef)).sum / ests.size) / fRef
-    val got = Nrmse.nrmse(df, fRef).head.getDouble(2)
-    assert(math.abs(got - expected) < 1e-12)
+    // Eq. 24 from sequential simulate calls at run's seeds seedBase + sim
+    val (cps, sims, seedBase) = (Seq(10, 30), 5, 17L)
+    val rows = (0 until sims).flatMap(s => Nrmse.simulate(g, 1, 2, cps, 50, seedBase + s))
+    val got = Nrmse.run(spark, g, 1, 2, cps, 50, sims, f, seedBase)
+    assert(got.keySet == Nrmse.AllAlgorithms.toSet)
+    for (alg <- Nrmse.AllAlgorithms; k <- cps) {
+      val ests = rows.collect { case (`alg`, `k`, e) => e }
+      assert(ests.size == sims)
+      val expected = math.sqrt(ests.map(e => (e - f) * (e - f)).sum / sims) / f
+      assert(math.abs(got(alg)(k) - expected) <= 1e-12 * expected, s"$alg@$k")
+    }
   }
 
   test("run returns finite non-negative NRMSE for every algorithm and budget") {
@@ -76,8 +56,7 @@ class NrmseSpec extends SparkSpec {
   }
 
   test("NS-HH NRMSE decreases substantially from tiny to large budgets") {
-    val out = Nrmse.run(spark, g, 1, 2, Seq(5, 400), 100, sims = 60, f = f, seedBase = 31,
-                        includeBaselines = false)
+    val out = Nrmse.run(spark, g, 1, 2, Seq(5, 400), 100, sims = 60, f = f, seedBase = 31)
     val m = out(NeighborSample.HH)
     assert(m(400) < m(5), s"expected improvement with budget: $m")
   }

@@ -16,17 +16,6 @@ class LineGraphSpec extends SparkSpec {
     assert(LineGraph.lineDegree(path, 1, 2) == 2)
   }
 
-  test("lineDegrees DataFrame matches the local formula on every edge") {
-    val g = TestGraphs.connectedRandom(35, 55, seed = 21)
-    val edges = TestGraphs.edgesDf(spark, g)
-    val df = LineGraph.lineDegrees(edges, GraphOps.degrees(edges)).collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt) -> r.getLong(2)).toMap
-    assert(df.size.toLong == g.numEdges)
-    df.foreach { case ((u, v), ld) =>
-      assert(ld == LineGraph.lineDegree(g, u, v).toLong, s"edge ($u,$v)")
-    }
-  }
-
   test("lineDegree equals the true number of adjacent edges") {
     val g = TestGraphs.connectedRandom(25, 40, seed = 22)
     val es = TestGraphs.edgeList(g)
@@ -43,7 +32,8 @@ class LineGraphSpec extends SparkSpec {
     val rng = new SplittableRandom(1)
     TestGraphs.edgeList(g).foreach { case (u, v) =>
       (1 to 50).foreach { _ =>
-        val (a, b) = LineGraph.uniformLineNeighbor(g, u, v, rng)
+        val e = LineGraph.uniformLineNeighbor(g, LineGraph.edge(u, v), rng)
+        val (a, b) = (LineGraph.src(e), LineGraph.dst(e))
         assert(a == u || a == v, "anchor must be an endpoint of the current edge")
         assert(b != u && b != v, "other endpoint must be outside the current edge")
         assert((0 until g.degree(a)).exists(g.neighbor(a, _) == b), "must be a real edge")
@@ -59,8 +49,8 @@ class LineGraphSpec extends SparkSpec {
     val n = 40000
     val counts = scala.collection.mutable.Map.empty[Long, Int].withDefaultValue(0)
     (1 to n).foreach { _ =>
-      val (a, b) = LineGraph.uniformLineNeighbor(g, u, v, rng)
-      counts(CsrGraph.edgeKey(a, b)) += 1
+      val e = LineGraph.uniformLineNeighbor(g, LineGraph.edge(u, v), rng)
+      counts(CsrGraph.edgeKey(LineGraph.src(e), LineGraph.dst(e))) += 1
     }
     assert(counts.size == total, s"support ${counts.size} != $total")
     val expected = n.toDouble / total
@@ -73,6 +63,7 @@ class LineGraphSpec extends SparkSpec {
   test("uniformLineNeighbor rejects isolated line-graph nodes") {
     val single = CsrGraph.fromEdges(2, Seq((0, 1)))
     val rng = new SplittableRandom(3)
-    intercept[IllegalArgumentException](LineGraph.uniformLineNeighbor(single, 0, 1, rng))
+    intercept[IllegalArgumentException](
+      LineGraph.uniformLineNeighbor(single, LineGraph.edge(0, 1), rng))
   }
 }
