@@ -23,14 +23,14 @@ class Table05GplusBench extends BenchSupport {
   }
 
   test("finding 4: NS dominates NE on this abundant-label dense graph") {
-    val ns = Seq(NeighborSample.HH, NeighborSample.HT).map(t.at(_, 9)).min
+    val ns = Seq(NeighborSample.HH, NeighborSample.HT).map(t.at(_, t.checkpoints.size - 1)).min
     val ne = Seq(NeighborExploration.HH, NeighborExploration.HT,
-                 NeighborExploration.RW).map(t.at(_, 9)).min
+                 NeighborExploration.RW).map(t.at(_, t.checkpoints.size - 1)).min
     assert(ns < ne, s"NS=$ns vs NE=$ne")
   }
 
   test("finding 3: NS-HH NRMSE decreases with budget") {
-    assert(t.at(NeighborSample.HH, 9) < t.at(NeighborSample.HH, 0))
+    assert(t.at(NeighborSample.HH, t.checkpoints.size - 1) < t.at(NeighborSample.HH, 0))
   }
 
   test("accuracy: best NRMSE at 5%|V| below 0.15 (paper: 0.029)") {

@@ -28,8 +28,8 @@ class Table06to09PokecBench extends BenchSupport {
     val p = b.pairs.head // rarest quartile
     val t = grid(Datasets.pokec, p)
     val ne = Seq(NeighborExploration.HH, NeighborExploration.HT,
-                 NeighborExploration.RW).map(t.at(_, 9)).min
-    val ns = Seq(NeighborSample.HH, NeighborSample.HT).map(t.at(_, 9)).min
+                 NeighborExploration.RW).map(t.at(_, t.checkpoints.size - 1)).min
+    val ns = Seq(NeighborSample.HH, NeighborSample.HT).map(t.at(_, t.checkpoints.size - 1)).min
     show(f"rarest pair $p: NE best=$ne%.3f NS best=$ns%.3f")
     assert(ne < ns, s"NE=$ne should beat NS=$ns on rare labels")
   }
@@ -41,15 +41,15 @@ class Table06to09PokecBench extends BenchSupport {
     // confounds a frequency-only comparison at pokec's narrow spread.
     val rare = grid(Datasets.pokec, b.pairs.head)
     val common = grid(Datasets.pokec, b.pairs.last)
-    val nsRare = rare.at(NeighborSample.HH, 9)
-    val nsCommon = common.at(NeighborSample.HH, 9)
+    val nsRare = rare.at(NeighborSample.HH, rare.checkpoints.size - 1)
+    val nsCommon = common.at(NeighborSample.HH, common.checkpoints.size - 1)
     assert(nsCommon < nsRare, s"common=$nsCommon rare=$nsRare")
   }
 
   test("finding 3: NE-HH NRMSE decreases with budget on every pair") {
     b.pairs.foreach { p =>
       val t = grid(Datasets.pokec, p)
-      assert(t.at(NeighborExploration.HH, 9) < t.at(NeighborExploration.HH, 0),
+      assert(t.at(NeighborExploration.HH, t.checkpoints.size - 1) < t.at(NeighborExploration.HH, 0),
         s"pair $p: ${t.results(NeighborExploration.HH)}")
     }
   }

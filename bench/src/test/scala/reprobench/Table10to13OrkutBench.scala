@@ -28,8 +28,8 @@ class Table10to13OrkutBench extends BenchSupport {
     val p = b.pairs.head
     val t = grid(Datasets.orkut, p)
     val ne = Seq(NeighborExploration.HH, NeighborExploration.HT,
-                 NeighborExploration.RW).map(t.at(_, 9)).min
-    val ns = Seq(NeighborSample.HH, NeighborSample.HT).map(t.at(_, 9)).min
+                 NeighborExploration.RW).map(t.at(_, t.checkpoints.size - 1)).min
+    val ns = Seq(NeighborSample.HH, NeighborSample.HT).map(t.at(_, t.checkpoints.size - 1)).min
     assert(ne < ns, s"pair $p: NE=$ne vs NS=$ns")
   }
 

@@ -29,15 +29,16 @@ class Table14to17LivejournalBench extends BenchSupport {
     val p = b.pairs.head
     val t = grid(Datasets.livejournal, p)
     val ne = Seq(NeighborExploration.HH, NeighborExploration.HT,
-                 NeighborExploration.RW).map(t.at(_, 9)).min
-    val ns = Seq(NeighborSample.HH, NeighborSample.HT).map(t.at(_, 9)).min
+                 NeighborExploration.RW).map(t.at(_, t.checkpoints.size - 1)).min
+    val ns = Seq(NeighborSample.HH, NeighborSample.HT).map(t.at(_, t.checkpoints.size - 1)).min
     assert(ne < ns, s"pair $p: NE=$ne vs NS=$ns")
   }
 
   test("finding 3: NE-HH NRMSE decreases with budget on every pair") {
     b.pairs.foreach { p =>
       val t = grid(Datasets.livejournal, p)
-      assert(t.at(NeighborExploration.HH, 9) < t.at(NeighborExploration.HH, 0), s"pair $p")
+      assert(t.at(NeighborExploration.HH, t.checkpoints.size - 1) < t.at(NeighborExploration.HH, 0),
+        s"pair $p")
     }
   }
 }

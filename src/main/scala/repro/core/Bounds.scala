@@ -1,14 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import repro.graph.CsrGraph
 
 /** Sample-size bounds of Theorems 4.1–4.5 for an (ε,δ)-approximation,
-  * computed from exact graph statistics with DataFrame aggregations
-  * (Tables 18–22 use ε = δ = 0.1).
+  * computed from exact graph statistics (Tables 18–22 use ε = δ = 0.1).
   *
-  * Inputs: nV = |V|, nE = |E|, f = F (exact target count), and
-  * `incident` = the (node, degree, t) DataFrame with T(u) per node.
+  * Theorems 4.1–4.2 are closed forms in |E| and F. Theorems 4.3–4.5 are
+  * whole-graph sums or maxima over d(u) and T(u), each taken in one
+  * O(|V|+|E|) pass over the CSR graph on the driver. nV = |V| and nE = |E|
+  * are the graph's; f = F is the exact target count for labels (t1, t2).
   */
 object Bounds {
 
@@ -31,14 +31,26 @@ object Bounds {
     math.log((1.0 + b) / b) / math.log(1.0 / a)
   }
 
+  /** Calls `f(d(u), T(u))` for every node u of degree ≥ 1. An isolated node
+    * has π = 0: no walk reaches it, so it carries no term.
+    */
+  private def foreachNode(g: CsrGraph, t1: Int, t2: Int)(f: (Double, Double) => Unit): Unit = {
+    var u = 0
+    while (u < g.numNodes) {
+      val d = g.degree(u)
+      if (d > 0) f(d, g.targetEdgesAt(u, t1, t2))
+      u += 1
+    }
+  }
+
   /** Theorem 4.3 — NeighborExploration-HH:
     * k ≥ (Σ_u 2|E|T(u)²/d(u) − 4F²) / (4ε²F²δ).
     */
-  def neHansenHurwitz(incident: DataFrame, nE: Long, f: Long,
+  def neHansenHurwitz(g: CsrGraph, t1: Int, t2: Int, f: Long,
                       eps: Double, delta: Double): Double = {
-    val s = incident
-      .agg(sum(lit(2.0) * nE * col("t") * col("t") / col("degree")) as "s")
-      .head.getDouble(0)
+    val nE = g.numEdges
+    var s = 0.0
+    foreachNode(g, t1, t2)((d, t) => s += 2.0 * nE * t * t / d)
     (s - 4.0 * f * f) / (4.0 * eps * eps * f.toDouble * f * delta)
   }
 
@@ -46,46 +58,46 @@ object Bounds {
     * k ≥ max_y log((T(y)²+B)/B) / log(1/A(y)),
     * A(y) = 1 − d(y)/2|E|, B = 4δε²F²/|V|.
     */
-  def neHorvitzThompson(incident: DataFrame, nV: Long, nE: Long, f: Long,
+  def neHorvitzThompson(g: CsrGraph, t1: Int, t2: Int, f: Long,
                         eps: Double, delta: Double): Double = {
-    val b = 4.0 * delta * eps * eps * f.toDouble * f / nV
-    incident
-      .select((log((col("t") * col("t") + b) / b) /
-               -log(lit(1.0) - col("degree") / (2.0 * nE))) as "k")
-      .agg(max(col("k")) as "k").head.getDouble(0)
+    val nE = g.numEdges
+    val b = 4.0 * delta * eps * eps * f.toDouble * f / g.numNodes
+    var k = Double.NegativeInfinity
+    foreachNode(g, t1, t2) { (d, t) =>
+      k = math.max(k, math.log((t * t + b) / b) / -math.log(1.0 - d / (2.0 * nE)))
+    }
+    k
   }
 
   /** Theorem 4.5 — NeighborExploration-RW:
     * k ≥ max{ 18(Σ_y T(y)²/π_y − 4F²)/(4ε²F²δ),
     *          18(Σ_y 1/π_y − |V|²)/(ε²|V|²δ) },  π_y = d(y)/2|E|.
     */
-  def neReweighted(incident: DataFrame, nV: Long, nE: Long, f: Long,
+  def neReweighted(g: CsrGraph, t1: Int, t2: Int, f: Long,
                    eps: Double, delta: Double): Double = {
-    val row = incident.agg(
-      sum(lit(2.0) * nE * col("t") * col("t") / col("degree")) as "sT",
-      sum(lit(2.0) * nE / col("degree")) as "sInv",
-    ).head
-    val kT = 18.0 * (row.getDouble(0) - 4.0 * f * f) /
-             (4.0 * eps * eps * f.toDouble * f * delta)
-    val kZ = 18.0 * (row.getDouble(1) - nV.toDouble * nV) /
-             (eps * eps * nV.toDouble * nV * delta)
+    val nV = g.numNodes.toLong
+    val nE = g.numEdges
+    var sT = 0.0
+    var sInv = 0.0
+    foreachNode(g, t1, t2) { (d, t) =>
+      sT += 2.0 * nE * t * t / d
+      sInv += 2.0 * nE / d
+    }
+    val kT = 18.0 * (sT - 4.0 * f * f) / (4.0 * eps * eps * f.toDouble * f * delta)
+    val kZ = 18.0 * (sInv - nV.toDouble * nV) / (eps * eps * nV.toDouble * nV * delta)
     math.max(kT, kZ)
   }
 
-  /** All five bounds for one (dataset, label) — one row of Tables 18–22.
-    * `incident` must carry (node, degree, t).
+  /** All five bounds for labels (t1, t2) with F = `f` — one row of
+    * Tables 18–22.
     */
-  def all(incident: DataFrame, nV: Long, nE: Long, f: Long,
-          eps: Double = 0.1, delta: Double = 0.1): SampleBounds = {
-    val cached = incident.cache()
-    val r = SampleBounds(
-      nsHH = nsHansenHurwitz(nE, f, eps, delta),
-      nsHT = nsHorvitzThompson(nE, f, eps, delta),
-      neHH = neHansenHurwitz(cached, nE, f, eps, delta),
-      neHT = neHorvitzThompson(cached, nV, nE, f, eps, delta),
-      neRW = neReweighted(cached, nV, nE, f, eps, delta),
+  def all(g: CsrGraph, t1: Int, t2: Int, f: Long,
+          eps: Double = 0.1, delta: Double = 0.1): SampleBounds =
+    SampleBounds(
+      nsHH = nsHansenHurwitz(g.numEdges, f, eps, delta),
+      nsHT = nsHorvitzThompson(g.numEdges, f, eps, delta),
+      neHH = neHansenHurwitz(g, t1, t2, f, eps, delta),
+      neHT = neHorvitzThompson(g, t1, t2, f, eps, delta),
+      neRW = neReweighted(g, t1, t2, f, eps, delta),
     )
-    cached.unpersist()
-    r
-  }
 }

@@ -2,6 +2,8 @@ package repro.core
 
 import java.util.SplittableRandom
 
+import org.apache.spark.TaskContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 
 import repro.baselines.LineGraphWalks
@@ -55,6 +57,32 @@ object Nrmse {
     a
   }
 
+  /** The task function of [[run]]: the element-wise sum of squared errors
+    * (F̂ − F)² over one partition's simulation indices, in index order.
+    *
+    * A named class rather than a lambda: Spark's closure cleaner parses the
+    * bytecode of a lambda's enclosing class, and every task deserializes a
+    * lambda through `LambdaDeserialize`, on every job. That per-grid work is
+    * JIT-compiled only after several grids, on the cores the walks run on.
+    */
+  private final class SquaredErrors(bc: Broadcast[CsrGraph], t1: Int, t2: Int,
+                                    checkpoints: Seq[Int], burnInSteps: Int,
+                                    f: Long, seedBase: Long)
+      extends ((TaskContext, Iterator[Int]) => Array[Double]) with Serializable {
+    def apply(ctx: TaskContext, sims: Iterator[Int]): Array[Double] = {
+      val g = bc.value
+      def sq(sim: Int): Array[Double] = {
+        val est = estimates(g, t1, t2, checkpoints, burnInSteps, seedBase + sim)
+        var i = 0
+        while (i < est.length) { est(i) = (est(i) - f) * (est(i) - f); i += 1 }
+        est
+      }
+      val sum = sq(sims.next())
+      while (sims.hasNext) addInto(sum, sq(sims.next()))
+      sum
+    }
+  }
+
   /** One full simulation as (algorithm, k, estimate) per algorithm and
     * checkpoint.
     */
@@ -71,20 +99,17 @@ object Nrmse {
   def run(spark: SparkSession, g: CsrGraph, t1: Int, t2: Int,
           checkpoints: Seq[Int], burnInSteps: Int, sims: Int, f: Long,
           seedBase: Long = 42L): Map[String, Map[Int, Double]] = {
-    val bc = spark.sparkContext.broadcast(g)
-    val slices = math.min(sims, spark.sparkContext.defaultParallelism * 2)
-    // Per-partition partials are collected and added in partition order,
-    // not in task completion order as RDD.reduce would, so the sums repeat
-    // bit for bit from run to run.
-    val sumSq = spark.sparkContext
-      .parallelize(0 until sims, slices)
-      .map { sim =>
-        estimates(bc.value, t1, t2, checkpoints, burnInSteps, seedBase + sim)
-          .map(e => (e - f) * (e - f))
-      }
-      .mapPartitions(it => Iterator(it.reduce(addInto)))
-      .collect()
-      .reduce(addInto)
+    val sc = spark.sparkContext
+    val bc = sc.broadcast(g)
+    val slices = math.min(sims, sc.defaultParallelism * 2)
+    // Per-partition partials are kept by partition index and added in
+    // partition order, not in task completion order as RDD.reduce would, so
+    // the sums repeat bit for bit from run to run.
+    val partials = new Array[Array[Double]](slices)
+    sc.runJob(sc.parallelize(0 until sims, slices),
+              new SquaredErrors(bc, t1, t2, checkpoints, burnInSteps, f, seedBase),
+              0 until slices, (i: Int, a: Array[Double]) => partials(i) = a)
+    val sumSq = partials.reduce(addInto)
     val nC = checkpoints.size
     Names.zipWithIndex.map { case (name, e) =>
       name -> checkpoints.zipWithIndex.map { case (k, c) =>

@@ -124,7 +124,7 @@ object Datasets {
     val burnIn = MixingTime.estimate(g, eps = 1e-3, extraStarts = 2, maxSteps = 1000)
     val pairs = spec.scheme match {
       case Gender(_) =>
-        Seq(LabelPair(1, 2, GroundTruth.targetEdgeCount(edges, labels, 1, 2)))
+        Seq(LabelPair(1, 2, GroundTruth.targetEdgeCountLocal(g, 1, 2)))
       case _ =>
         quartilePairs(GroundTruth.labelPairCounts(edges, labels), spec.nPairs,
                       spec.minPairCount)

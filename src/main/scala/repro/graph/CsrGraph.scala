@@ -1,6 +1,10 @@
 package repro.graph
 
+import scala.collection.immutable.ArraySeq
+
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType}
 
 /** Compact in-memory labeled graph in CSR form — the "restricted API".
   *
@@ -96,25 +100,43 @@ object CsrGraph {
   /** Build from a canonical edge list and (node,label) DataFrame whose node
     * ids are already the contiguous range [0, n). Collects to the driver —
     * the experiment graphs are deliberately laptop-scale (DESIGN.md §3).
+    *
+    * Rejects, with an IllegalArgumentException, a label column that is not
+    * integral or does not fit an Int, label node ids other than [0, n) each
+    * exactly once, and edge endpoints outside [0, n).
     */
   def fromDataFrames(edges: DataFrame, labelDf: DataFrame): CsrGraph = {
-    val es = edges.select("src", "dst").collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
-    val ls = labelDf.select("node", "label").collect()
-      .map(r => (r.getLong(0).toInt, r.get(1) match {
-        case i: Int  => i
-        case l: Long => l.toInt
-        case x       => x.toString.toInt
-      }))
-    val n = ls.map(_._1).max + 1
-    fromEdges(n, es, ls)
+    val labelType = labelDf.schema("label").dataType
+    require(Seq(ByteType, ShortType, IntegerType, LongType).contains(labelType),
+            s"label column must be integral, not $labelType")
+    val ls = labelDf.select(col("node"), col("label").cast(LongType)).collect()
+      .map(r => (r.getLong(0), r.getLong(1)))
+    val n = ls.length
+    val seen = new Array[Boolean](n)
+    ls.foreach { case (u, l) =>
+      require(0 <= u && u < n && !seen(u.toInt),
+              s"label node ids must be [0, $n), each once: node $u")
+      require(l.isValidInt, s"label $l of node $u does not fit an Int")
+      seen(u.toInt) = true
+    }
+    val es = edges.select("src", "dst").collect().map { r =>
+      val (u, v) = (r.getLong(0), r.getLong(1))
+      require(0 <= u && u < n && 0 <= v && v < n, s"edge ($u,$v) has an endpoint outside [0, $n)")
+      (u.toInt, v.toInt)
+    }
+    fromEdges(n, ArraySeq.unsafeWrapArray(es),
+              ArraySeq.unsafeWrapArray(ls.map { case (u, l) => (u.toInt, l.toInt) }))
   }
 
-  /** Build from local arrays; labels default to 0 for unlisted nodes. */
+  /** Build from local arrays; labels default to 0 for unlisted nodes.
+    * Rejects self-loops, endpoints outside [0, n) and duplicate edges in
+    * either orientation (they would inflate d(u) and |E|).
+    */
   def fromEdges(n: Int, edges: Seq[(Int, Int)], labels: Seq[(Int, Int)] = Nil): CsrGraph = {
     val deg = new Array[Int](n)
     edges.foreach { case (u, v) =>
-      require(u != v, s"self-loop $u"); require(u < n && v < n, s"node out of range ($u,$v)")
+      require(u != v, s"self-loop $u")
+      require(0 <= u && u < n && 0 <= v && v < n, s"node out of range ($u,$v)")
       deg(u) += 1; deg(v) += 1
     }
     val offsets = new Array[Int](n + 1)
@@ -125,6 +147,18 @@ object CsrGraph {
     edges.foreach { case (u, v) =>
       nbr(cursor(u)) = v; cursor(u) += 1
       nbr(cursor(v)) = u; cursor(v) += 1
+    }
+    // lastSeen(v) == u iff v already appeared in u's slice
+    val lastSeen = Array.fill(n)(-1)
+    var u = 0
+    while (u < n) {
+      var j = offsets(u)
+      while (j < offsets(u + 1)) {
+        require(lastSeen(nbr(j)) != u, s"duplicate edge (${math.min(u, nbr(j))},${math.max(u, nbr(j))})")
+        lastSeen(nbr(j)) = u
+        j += 1
+      }
+      u += 1
     }
     val lab = new Array[Int](n)
     labels.foreach { case (u, l) => lab(u) = l }

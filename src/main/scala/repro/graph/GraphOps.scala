@@ -35,55 +35,45 @@ object GraphOps {
       .agg(count(lit(1)).cast(LongType) as "degree")
   }
 
-  /** Connected-component ids via iterative min-label propagation.
-    *
-    * Each round every node adopts the minimum component id in its closed
-    * neighborhood; rounds repeat until no id changes (≤ diameter rounds —
-    * small for the social graphs generated here). `localCheckpoint` truncates
-    * the lineage each round so the plan does not grow with the iteration
-    * count. Returns (node, component) for every endpoint in `edges`.
-    */
-  def connectedComponents(spark: SparkSession, edges: DataFrame,
-                          maxIter: Int = 60): DataFrame = {
-    val sym = symmetrize(edges).persist()
-    var comp = sym.select(col("u") as "node").distinct()
-      .select(col("node"), col("node") as "component")
-      .localCheckpoint()
-    var changed = 1L
-    var iter = 0
-    while (changed > 0 && iter < maxIter) {
-      val neighborMin = sym
-        .join(comp.withColumnRenamed("node", "v"), Seq("v"))
-        .groupBy(col("u") as "node")
-        .agg(min(col("component")) as "ncomp")
-      val next = comp.join(neighborMin, Seq("node"))
-        .select(col("node"), least(col("component"), col("ncomp")) as "component")
-        .localCheckpoint()
-      changed = next.join(comp.withColumnRenamed("component", "old"), Seq("node"))
-        .where(col("component") =!= col("old")).count()
-      comp = next
-      iter += 1
-    }
-    sym.unpersist()
-    require(changed == 0, s"connectedComponents did not converge in $maxIter rounds")
-    comp
-  }
-
   /** Largest connected component of a canonical edge list, with node ids
     * remapped to the contiguous range [0, |V_lcc|) (ascending by original
     * id, so the remap is deterministic). Returns (edges, nodeMap) where
     * nodeMap is (node, newId).
+    *
+    * The components come from a union-find over the edge list collected to
+    * the driver (the CSR build collects it anyway, DESIGN.md §2). Each root
+    * is its component's smallest id; the largest component wins, and on a
+    * size tie the one with the smallest id. The remap is two shuffle joins
+    * because the CSR neighbor order, and so every walk, follows the order
+    * of the rows they emit.
     */
   def largestComponent(spark: SparkSession, edges: DataFrame): (DataFrame, DataFrame) = {
-    val comp = connectedComponents(spark, edges)
-    val top = comp.groupBy("component").agg(count(lit(1)) as "sz")
-      .orderBy(desc("sz"), asc("component")).limit(1)
-      .select("component")
-    val keep = comp.join(top, Seq("component")).select("node")
-    val nodeMap = keep
-      .withColumn("newId", row_number().over(
-        org.apache.spark.sql.expressions.Window.orderBy("node")) - 1)
-      .select(col("node"), col("newId").cast(LongType) as "newId")
+    val es = edges.select("src", "dst").collect()
+    val src = es.map(_.getLong(0))
+    val dst = es.map(_.getLong(1))
+    val ids = (src ++ dst).distinct.sorted
+    val parent = Array.range(0, ids.length)
+    def find(x: Int): Int = {
+      var r = x
+      while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }
+      r
+    }
+    def index(id: Long): Int = java.util.Arrays.binarySearch(ids, id)
+    var i = 0
+    while (i < es.length) {
+      val a = find(index(src(i))); val b = find(index(dst(i)))
+      if (a != b) parent(math.max(a, b)) = math.min(a, b)
+      i += 1
+    }
+    val root = Array.tabulate(ids.length)(find)
+    val size = new Array[Int](ids.length)
+    root.foreach(r => size(r) += 1)
+    var top = 0
+    size.indices.foreach(r => if (size(r) > size(top)) top = r)
+    val kept = ids.indices.filter(root(_) == top).map(ids(_))
+    import spark.implicits._
+    val nodeMap = kept.zipWithIndex.map { case (node, newId) => (node, newId.toLong) }
+      .toDF("node", "newId")
     val remapped = edges
       .join(nodeMap.withColumnRenamed("node", "src").withColumnRenamed("newId", "s2"), Seq("src"))
       .join(nodeMap.withColumnRenamed("node", "dst").withColumnRenamed("newId", "d2"), Seq("dst"))

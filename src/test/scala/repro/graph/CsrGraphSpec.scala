@@ -2,6 +2,8 @@ package repro.graph
 
 import java.util.SplittableRandom
 
+import org.apache.spark.sql.DataFrame
+
 import repro.{SparkSpec, TestGraphs}
 
 class CsrGraphSpec extends SparkSpec {
@@ -40,6 +42,24 @@ class CsrGraphSpec extends SparkSpec {
   test("fromEdges rejects self-loops and out-of-range nodes") {
     intercept[IllegalArgumentException](CsrGraph.fromEdges(3, Seq((1, 1))))
     intercept[IllegalArgumentException](CsrGraph.fromEdges(2, Seq((0, 5))))
+  }
+
+  test("fromEdges rejects duplicate edges in either orientation") {
+    intercept[IllegalArgumentException](CsrGraph.fromEdges(3, Seq((0, 1), (1, 2), (0, 1))))
+    intercept[IllegalArgumentException](CsrGraph.fromEdges(3, Seq((0, 1), (1, 2), (2, 1))))
+  }
+
+  test("fromDataFrames rejects bad label ids, label types and endpoints") {
+    import spark.implicits._
+    val edges = Seq((0L, 1L), (1L, 2L)).toDF("src", "dst")
+    def build(labels: DataFrame, es: DataFrame = edges) =
+      intercept[IllegalArgumentException](CsrGraph.fromDataFrames(es, labels))
+    build(Seq((0L, 1), (2L, 1)).toDF("node", "label"))                      // node 1 unlabelled
+    build(Seq((0L, 1), (1L, 1), (1L, 2), (2L, 1)).toDF("node", "label"))    // node 1 twice
+    build(Seq((0L, "1"), (1L, "2"), (2L, "1")).toDF("node", "label"))       // not integral
+    build(Seq((0L, 1L), (1L, 1L << 40), (2L, 1L)).toDF("node", "label"))    // not an Int
+    build(Seq((0L, 1), (1L, 1), (2L, 1)).toDF("node", "label"),
+          Seq((0L, 1L), (1L, (1L << 32) + 2)).toDF("src", "dst"))            // endpoint >= n
   }
 
   test("edgeKey is injective over distinct unordered pairs") {

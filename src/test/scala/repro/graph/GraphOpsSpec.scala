@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestGraphs}
@@ -53,14 +54,12 @@ class GraphOpsSpec extends SparkSpec {
       "edges" -> edges)
   }
 
-  test("connectedComponents: single component on a connected graph") {
-    val g = TestGraphs.connectedRandom(30, 40, seed = 13)
-    val comp = GraphOps.connectedComponents(spark, TestGraphs.edgesDf(spark, g))
-    assert(comp.select("component").distinct().count() == 1)
-    assert(comp.count() == g.numNodes)
-  }
+  /** (node, newId) rows of [[GraphOps.largestComponent]], sorted by node. */
+  private def keptNodes(df: DataFrame): Seq[(Long, Long)] =
+    GraphOps.largestComponent(spark, df)._2.collect()
+      .map(r => (r.getLong(0), r.getLong(1))).toSeq.sortBy(_._1)
 
-  test("connectedComponents matches union-find on multi-component graphs") {
+  test("largestComponent matches union-find on multi-component graphs") {
     for (seed <- 1 to 3) {
       val rng = new java.util.SplittableRandom(seed)
       val n = 60
@@ -69,15 +68,14 @@ class GraphOpsSpec extends SparkSpec {
         .filter { case (u, v) => u != v }
         .map { case (u, v) => (math.min(u, v).toLong, math.max(u, v).toLong) }
         .distinct
-      val df = es.toDF("src", "dst")
-      val comp = GraphOps.connectedComponents(spark, df).collect()
-        .map(r => r.getLong(0).toInt -> r.getLong(1).toInt).toMap
       val oracle = TestGraphs.unionFindComponents(n, es.map(p => (p._1.toInt, p._2.toInt)))
-      // same partition: two touched nodes share a component iff oracle agrees
-      val touched = comp.keys.toSeq
-      for (a <- touched; b <- touched) {
-        assert((comp(a) == comp(b)) == (oracle(a) == oracle(b)), s"($a,$b) seed=$seed")
-      }
+      // largest component; on a size tie the one whose smallest id is smallest
+      val sizes = oracle.groupBy(identity).map { case (root, m) => root -> m.length }
+      val top = sizes.toSeq.minBy { case (root, sz) => (-sz, root) }._1
+      val expected = (0 until n).filter(oracle(_) == top).map(_.toLong)
+      val kept = keptNodes(es.toDF("src", "dst"))
+      assert(kept.map(_._1) == expected, s"seed=$seed")
+      assert(kept.map(_._2) == expected.indices.map(_.toLong), s"newId ascending, seed=$seed")
     }
   }
 
@@ -91,12 +89,22 @@ class GraphOpsSpec extends SparkSpec {
     val endpoints = edges.select("src").union(edges.select("dst"))
       .collect().map(_.getLong(0)).toSet
     assert(endpoints == Set(0L, 1L, 2L))
+    // a size tie keeps the component with the smallest node id
+    assert(keptNodes(rawDf((5L, 6L), (6L, 7L), (5L, 7L), (1L, 2L), (2L, 3L), (1L, 3L))) ==
+           Seq(1L -> 0L, 2L -> 1L, 3L -> 2L))
+    // ids need not be contiguous or fit an Int
+    val big = 1L << 32
+    assert(keptNodes(rawDf((big, big + 9), (3L, big), (7L, 8L))) ==
+           Seq(3L -> 0L, big -> 1L, (big + 9) -> 2L))
   }
 
   test("largestComponent preserves edge structure up to relabeling") {
     val g = TestGraphs.connectedRandom(30, 45, seed = 14)
-    val (edges, _) = GraphOps.largestComponent(spark, TestGraphs.edgesDf(spark, g))
-    assert(edges.count() == g.numEdges) // already connected: nothing dropped
+    val (edges, nodeMap) = GraphOps.largestComponent(spark, TestGraphs.edgesDf(spark, g))
+    // already connected: one component, nothing dropped, ids 0..n-1 kept
+    assert(edges.count() == g.numEdges)
+    assert(nodeMap.collect().map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq ==
+           (0L until g.numNodes).map(u => (u, u)))
     val rebuilt = CsrGraph.fromDataFrames(edges,
       spark.range(g.numNodes).select(col("id") as "node", lit(0) as "label"))
     assert((0 until g.numNodes).map(rebuilt.degree).sorted ==
